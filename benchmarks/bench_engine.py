@@ -1,6 +1,6 @@
 """Smoke benchmark of the batch DesignEngine — writes ``BENCH_engine.json``.
 
-Twelve sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
+Ten sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
 protocol-store population:
 
 * **kernels** — the Table-1-style sweep (RIP + three size-10 baselines)
@@ -12,11 +12,6 @@ protocol-store population:
   warm (the repeated-sweep/service scenario: same nets and targets hit a
   warm cache and skip REFINE and the final DP pass entirely);
   verifies bit-identical design outcomes on vs. off.
-* **refine_warmstart** — warm-seeded vs. cold width *solves* on identical
-  harvested solver problems (the continuation threading of ISSUE 3,
-  isolated from REFINE's legitimately-divergent iterate paths): the warm
-  pass must be faster and spend fewer solver iterations, with identical
-  feasibility verdicts.
 * **fused_dp** — the fused expand-traverse-prune DP core + compiled
   analytical kernels (ISSUE 5) vs. the staged per-level core and scalar
   analytical oracles, on the full first-contact cold design (tau_min +
@@ -36,16 +31,14 @@ protocol-store population:
 * **batched_dp** — the cross-target/cross-net lockstep DP
   (:class:`~repro.engine.batched.BatchedDpDriver`, ISSUE 6) vs. the
   per-problem fused core on the multi-target sweep shape (one small-library
-  final DP per (net, target)): bit-identical frontiers, >= 1.5x asserted,
-  with nets/s, states/s and the per-level batch front-size histogram.
+  final DP per (net, target)): bit-identical frontiers, >= 1.5x asserted
+  on the median of alternating fused/batched timing pairs, with nets/s,
+  states/s and the per-level batch front-size histogram.
 * **tree_dp** — multi-sink routing trees on the compiled engine (ISSUE 8):
   the fused per-edge/merge kernels and the cross-tree lockstep driver vs.
   the Python reference tree DP, on an H-tree clock population — bit-identical
   solutions (assignments, delay, width, feasibility) and per-solve
   statistics, >= 5x asserted for the fused core, with tree-DP states/sec.
-* **fast_mode** — the opt-in ``traverse_affine`` DP traversal vs. the
-  bit-exact kernel: speedup and maximum relative delay drift (documented
-  ~1 ulp per interval).
 * **technologies** — a multi-node population sweep through
   ``DesignEngine.design_population(technologies=[...])``, with per-node
   record/state counts so `EngineStatistics` trends are comparable across
@@ -80,6 +73,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -96,6 +90,9 @@ from repro.tech.library import RepeaterLibrary  # noqa: E402
 from repro.tech.nodes import NODE_180NM, get_node  # noqa: E402
 
 FULL_SCALE = os.environ.get("REPRO_FULL", "0") not in ("0", "", "false", "False")
+
+#: Alternating fused/batched timing pairs of the batched_dp section.
+BATCHED_DP_PAIRS = 21
 
 
 def _record_key(record):
@@ -227,121 +224,6 @@ def _rip_sweep(cases, rips, prepared):
                 )
             )
     return time.perf_counter() - started, outcomes
-
-
-def bench_refine_warmstart(store, protocol, technology):
-    """Warm-seeded vs. cold width solves on identical solver problems.
-
-    The old section timed whole warm vs. cold RIP sweeps — but REFINE's
-    iterate paths legitimately diverge (within the solver tolerance) under
-    warm starts, so the measurement confounded the seeding mechanism with
-    luck in the move loop and reported ~1.0x even though every seed reached
-    the solver.  This section isolates the mechanism: the *same* harvested
-    ``(net, positions, initial widths, target)`` problems are solved cold
-    and seeded with the converged multiplier of the nearest other target on
-    the same net (exactly what RIP's continuation threads), and the warm
-    pass must be faster *and* spend fewer solver iterations.
-    """
-    import math
-
-    from repro.analytical.width_solver import DualBisectionWidthSolver
-    from repro.core.solution import InsertionSolution
-
-    cases = store.cases(protocol)
-    solver = DualBisectionWidthSolver(technology)
-    min_width = technology.repeater.min_width
-    rip = Rip(technology, window_cache=False)
-
-    per_net_problems = []
-    for case in cases:
-        prepared = rip.prepare(case.net)
-        problems = []
-        for target in case.targets:
-            point = prepared.coarse_result.best_for_delay(target)
-            if point is None:
-                point = prepared.coarse_result.frontier.points[0]
-            solution = InsertionSolution.from_dp(point.solution)
-            positions = [case.net.legalize(p) for p in solution.positions]
-            reference = solver.solve(
-                case.net, positions, target, initial_widths=solution.widths
-            )
-            problems.append((case.net, positions, solution.widths, target, reference))
-        per_net_problems.append(problems)
-
-    def seed_for(problems, k):
-        # Nearest-in-log-target feasible record, skipping min-width-regime
-        # sources — RIP's RefineContinuation.seed_for discipline.
-        best = None
-        best_distance = float("inf")
-        for j, (_, _, _, target, reference) in enumerate(problems):
-            if j == k or not reference.feasible:
-                continue
-            if all(w <= min_width * (1.0 + 1e-9) for w in reference.widths):
-                continue
-            distance = abs(math.log(target) - math.log(problems[k][3]))
-            if distance < best_distance:
-                best_distance = distance
-                best = reference
-        return best.lagrange_multiplier if best is not None else None
-
-    flat = [
-        (net, positions, widths, target, seed_for(problems, k))
-        for problems in per_net_problems
-        for k, (net, positions, widths, target, _) in enumerate(problems)
-    ]
-
-    def solve_pass(seeded):
-        outcomes = []
-        started = time.perf_counter()
-        for net, positions, widths, target, seed in flat:
-            outcome = solver.solve(
-                net,
-                positions,
-                target,
-                initial_widths=widths,
-                initial_lambda=seed if seeded else None,
-            )
-            outcomes.append(outcome)
-        return time.perf_counter() - started, outcomes
-
-    cold_seconds, cold_outcomes = solve_pass(False)
-    warm_seconds, warm_outcomes = solve_pass(True)
-    for _ in range(2):  # best-of-3 timing; results are deterministic
-        cold_seconds = min(cold_seconds, solve_pass(False)[0])
-        warm_seconds = min(warm_seconds, solve_pass(True)[0])
-
-    feasibility_identical = [o.feasible for o in cold_outcomes] == [
-        o.feasible for o in warm_outcomes
-    ]
-    iterations_cold = sum(o.iterations for o in cold_outcomes)
-    iterations_warm = sum(o.iterations for o in warm_outcomes)
-    seeded_runs = sum(1 for problem in flat if problem[4] is not None)
-    max_delay_drift = max(
-        (
-            abs(c.delay - w.delay) / max(c.delay, 1e-30)
-            for c, w in zip(cold_outcomes, warm_outcomes)
-            if c.feasible
-        ),
-        default=0.0,
-    )
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    print(
-        f"[refine-ws ] solver cold {cold_seconds * 1e3:6.1f}ms  warm "
-        f"{warm_seconds * 1e3:6.1f}ms  speedup {speedup:.2f}x  iterations "
-        f"{iterations_cold} -> {iterations_warm}  seeded "
-        f"{seeded_runs}/{len(flat)}  feasibility identical: {feasibility_identical}"
-    )
-    return {
-        "num_solves": len(flat),
-        "cold_wall_clock_seconds": cold_seconds,
-        "warm_wall_clock_seconds": warm_seconds,
-        "speedup": speedup,
-        "iterations_cold": iterations_cold,
-        "iterations_warm": iterations_warm,
-        "seeded_runs": seeded_runs,
-        "feasibility_identical": feasibility_identical,
-        "max_feasible_delay_drift": max_delay_drift,
-    }
 
 
 def bench_persistence(store, protocol, technology):
@@ -584,6 +466,12 @@ def bench_batched_dp(store, protocol, technology):
     must be bit-identical and the lockstep must clear the >= 1.5x
     acceptance bar; the per-level front-size histogram shows the row counts
     the batched kernels actually amortise over.
+
+    Each pass takes ~0.2-0.3 s, shorter than the speed swings of a shared
+    VM, so a best-of-few timing flips across the bar from run to run.  The
+    passes run as alternating fused/batched pairs instead; the speedup is
+    the median of the per-pair ratios and the reported times are the
+    medians of each side.
     """
     from repro.engine.batched import BatchedDpDriver, DpProblem
     from repro.engine.compiled import CompiledNet
@@ -612,11 +500,14 @@ def bench_batched_dp(store, protocol, technology):
         results = driver.run_power(problems)
         return time.perf_counter() - started, results
 
-    fused_seconds, fused_results = fused_pass()
-    batched_seconds, batched_results = batched_pass()
-    for _ in range(2):  # best-of-3 timing; results are deterministic
-        fused_seconds = min(fused_seconds, fused_pass()[0])
-        batched_seconds = min(batched_seconds, batched_pass()[0])
+    fused_times, batched_times = [], []
+    for _ in range(BATCHED_DP_PAIRS):  # results are deterministic
+        fused_seconds, fused_results = fused_pass()
+        batched_seconds, batched_results = batched_pass()
+        fused_times.append(fused_seconds)
+        batched_times.append(batched_seconds)
+    fused_seconds = median(fused_times)
+    batched_seconds = median(batched_times)
 
     def signature(results):
         return [
@@ -629,7 +520,10 @@ def bench_batched_dp(store, protocol, technology):
 
     identical = signature(batched_results) == signature(fused_results)
     states = sum(r.statistics.states_generated for r in batched_results)
-    speedup = fused_seconds / batched_seconds if batched_seconds > 0 else float("inf")
+    speedup = median(
+        fused / batched if batched > 0 else float("inf")
+        for fused, batched in zip(fused_times, batched_times)
+    )
     nets_per_second = len(problems) / batched_seconds if batched_seconds > 0 else 0.0
     states_per_second = states / batched_seconds if batched_seconds > 0 else 0.0
 
@@ -652,6 +546,7 @@ def bench_batched_dp(store, protocol, technology):
         "fused_wall_clock_seconds": fused_seconds,
         "batched_wall_clock_seconds": batched_seconds,
         "speedup": speedup,
+        "timing_pairs": len(fused_times),
         "states_generated": states,
         "nets_per_second": nets_per_second,
         "states_per_second": states_per_second,
@@ -776,46 +671,6 @@ def bench_tree_dp(technology):
         "states_generated": fused_states,
         "states_per_second": states_per_second,
         "records_identical": identical,
-    }
-
-
-def bench_fast_mode(store, protocol, technology):
-    """Exact vs. affine wire traversal on the baseline DP sweep."""
-    cases = store.cases(protocol)
-    library = RepeaterLibrary.uniform(10.0, 400.0, 10.0)
-
-    def sweep(traversal):
-        dp = PowerAwareDp(technology, traversal=traversal)
-        started = time.perf_counter()
-        results = {case.net.name: dp.run(case.net, library, case.candidates) for case in cases}
-        return time.perf_counter() - started, results
-
-    exact_seconds, exact_results = sweep("exact")
-    affine_seconds, affine_results = sweep("affine")
-
-    max_drift = 0.0
-    widths_identical = True
-    for case in cases:
-        exact_points = exact_results[case.net.name].frontier.points
-        affine_points = affine_results[case.net.name].frontier.points
-        if len(exact_points) != len(affine_points):
-            widths_identical = False
-            continue
-        for a, b in zip(exact_points, affine_points):
-            widths_identical &= a.total_width == b.total_width
-            max_drift = max(max_drift, abs(a.delay - b.delay) / a.delay)
-    speedup = exact_seconds / affine_seconds if affine_seconds > 0 else float("inf")
-    print(
-        f"[fast-mode ] exact {exact_seconds:5.2f}s  affine {affine_seconds:5.2f}s  "
-        f"speedup {speedup:.2f}x  max delay drift {max_drift:.2e}  "
-        f"widths identical: {widths_identical}"
-    )
-    return {
-        "exact_wall_clock_seconds": exact_seconds,
-        "affine_wall_clock_seconds": affine_seconds,
-        "speedup": speedup,
-        "max_relative_delay_drift": max_drift,
-        "widths_identical": widths_identical,
     }
 
 
@@ -1086,13 +941,11 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
 
     kernels = bench_kernels(store, protocol, technology, workers)
     window_cache = bench_window_cache(store, protocol, technology)
-    refine_warmstart = bench_refine_warmstart(store, protocol, technology)
     persistence = bench_persistence(store, protocol, technology)
     cold_design = bench_cold_design(store, protocol, technology)
     fused_dp = bench_fused_dp(store, protocol, technology)
     batched_dp = bench_batched_dp(store, protocol, technology)
     tree_dp = bench_tree_dp(technology)
-    fast_mode = bench_fast_mode(store, protocol, technology)
     technologies = bench_technologies(store, protocol, technology, workers, tech_names)
     service = bench_service(store, protocol, technology)
     fault_recovery = bench_fault_recovery(technology)
@@ -1106,13 +959,11 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
         "workers": workers,
         "kernels": kernels,
         "window_cache": window_cache,
-        "refine_warmstart": refine_warmstart,
         "persistence": persistence,
         "cold_design": cold_design,
         "fused_dp": fused_dp,
         "batched_dp": batched_dp,
         "tree_dp": tree_dp,
-        "fast_mode": fast_mode,
         "technologies": technologies,
         "service": service,
         "fault_recovery": fault_recovery,
@@ -1146,19 +997,6 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
         raise SystemExit(
             "first-contact compiled REFINE below the 2x acceptance bar: "
             f"{cold_design['refine_speedup']:.2f}x"
-        )
-    if not refine_warmstart["feasibility_identical"]:
-        raise SystemExit("warm-seeded width solves changed a feasibility verdict")
-    if refine_warmstart["speedup"] <= 1.0:
-        raise SystemExit(
-            "warm-seeded width solves below the >1.0 bar: "
-            f"{refine_warmstart['speedup']:.2f}x"
-        )
-    if refine_warmstart["iterations_warm"] >= refine_warmstart["iterations_cold"]:
-        raise SystemExit(
-            "warm-seeded width solves did not reduce solver iterations: "
-            f"{refine_warmstart['iterations_cold']} -> "
-            f"{refine_warmstart['iterations_warm']}"
         )
     if not fused_dp["records_identical"]:
         raise SystemExit("fused and staged DP results diverged")

@@ -221,16 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--traversal",
-        choices=("exact", "affine"),
-        default="exact",
-        help=(
-            "wire-traversal kernel of every DP pass: 'exact' is bit-exact, "
-            "'affine' is the ~1 ulp fast mode for throughput-over-exactness "
-            "service workloads"
-        ),
-    )
-    sweep.add_argument(
         "--refine-evaluator",
         choices=EVALUATOR_MODES,
         default="compiled",
@@ -612,7 +602,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _parse_methods(
     spec: str,
-    traversal: str = "exact",
     refine_evaluator: str = "compiled",
     dp_core: str = "fused",
     refine_analytical: str = "vectorized",
@@ -628,8 +617,6 @@ def _parse_methods(
             continue
         if entry == "rip":
             overrides = {}
-            if traversal != "exact":
-                overrides["traversal"] = traversal
             if dp_core != "fused":
                 overrides["dp_core"] = dp_core
             refine_overrides = {}
@@ -650,7 +637,6 @@ def _parse_methods(
                 MethodSpec.dp_baseline(
                     entry,
                     RepeaterLibrary.uniform(10.0, 400.0, granularity),
-                    traversal=traversal,
                     core=dp_core,
                 )
             )
@@ -688,7 +674,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         methods = _parse_methods(
             method_spec,
-            traversal=args.traversal,
             refine_evaluator=args.refine_evaluator,
             dp_core=args.dp_core,
             refine_analytical=args.refine_analytical,

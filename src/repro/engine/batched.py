@@ -275,18 +275,13 @@ class BatchedDpDriver:
         technology: Technology,
         *,
         pruning: Optional[PruningConfig] = None,
-        traversal: str = "exact",
         delay_tolerance: float = 1.0e-14,
         scratch: Optional[DpScratch] = None,
         max_in_flight: int = _MAX_IN_FLIGHT,
     ) -> None:
-        require(
-            traversal in ("exact", "affine"), f"unknown traversal mode {traversal!r}"
-        )
         require(max_in_flight >= 1, "max_in_flight must be >= 1")
         self._technology = technology
         self._pruning = pruning or PruningConfig()
-        self._traversal = traversal
         self._delay_tolerance = delay_tolerance
         self._scratch = scratch
         self._max_in_flight = int(max_in_flight)
@@ -321,7 +316,6 @@ class BatchedDpDriver:
         intrinsic = repeater.intrinsic_delay
         unit_resistance = repeater.unit_resistance
         scratch = self._scratch if self._scratch is not None else shared_scratch()
-        exact = self._traversal == "exact"
         pruning = self._pruning
         full_strategy = pruning.strategy == "full"
         self._front_sizes = []
@@ -361,7 +355,6 @@ class BatchedDpDriver:
                 delay_tolerance=pruning.delay_tolerance,
                 width_tolerance=pruning.width_tolerance,
                 full_strategy=full_strategy,
-                exact_traversal=exact,
             )
             front_caps, front_delays, front_widths, keep_local, survivors, m_per = fronts
             offset = 0
@@ -395,9 +388,7 @@ class BatchedDpDriver:
         def finalize(entry: _ActiveProblem) -> None:
             caps, delays, widths = entry.caps, entry.delays, entry.widths
             scratch.ensure(len(caps))
-            _traverse_in_place(
-                scratch, entry.intervals[entry.num_levels], caps, delays, exact
-            )
+            _traverse_in_place(scratch, entry.intervals[entry.num_levels], caps, delays)
             final_delays = (
                 delays + intrinsic + (unit_resistance / entry.net.driver_width) * caps
             )
@@ -509,9 +500,7 @@ class BatchedDpDriver:
         def finalize(entry: _ActiveProblem) -> None:
             caps, delays, widths = entry.caps, entry.delays, entry.widths
             scratch.ensure(len(caps))
-            _traverse_in_place(
-                scratch, entry.intervals[entry.num_levels], caps, delays, True
-            )
+            _traverse_in_place(scratch, entry.intervals[entry.num_levels], caps, delays)
             final_delays = (
                 delays + intrinsic + (unit_resistance / entry.net.driver_width) * caps
             )
@@ -657,7 +646,6 @@ class BatchedDpDriver:
             compiled_edge.intervals[len(compiled_edge.sites)],
             caps,
             delays,
-            True,
         )
         child = edge_state.child
         entry.edge_traces[child] = _TreeEdgeTrace(

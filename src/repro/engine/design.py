@@ -192,11 +192,6 @@ class MethodSpec:
         RIP).
     rip:
         Optional per-method override of the engine's RIP configuration.
-    traversal:
-        Wire-traversal kernel of a ``"dp"`` method: ``"exact"`` (bit-exact,
-        the default) or ``"affine"`` (the ~1 ulp fast mode for
-        throughput-over-exactness service workloads).  RIP methods carry
-        the flag on their :class:`RipConfig` instead.
     core:
         DP inner-loop implementation of a ``"dp"`` method: ``"fused"``
         (one kernel call per level on the per-worker scratch arena, the
@@ -212,7 +207,6 @@ class MethodSpec:
     kind: str
     library: Optional[RepeaterLibrary] = None
     rip: Optional[RipConfig] = None
-    traversal: str = "exact"
     core: str = "fused"
 
     def __post_init__(self) -> None:
@@ -225,10 +219,6 @@ class MethodSpec:
                 self.library is not None,
                 f"{self.kind} method {self.name!r} needs a library",
             )
-        require(
-            self.traversal in ("exact", "affine"),
-            f"unknown traversal mode {self.traversal!r}",
-        )
         if self.kind == "tree":
             require(
                 self.core in ("reference", "fused", "batched"),
@@ -247,12 +237,10 @@ class MethodSpec:
 
     @staticmethod
     def dp_baseline(
-        name: str, library: RepeaterLibrary, *, traversal: str = "exact", core: str = "fused"
+        name: str, library: RepeaterLibrary, *, core: str = "fused"
     ) -> "MethodSpec":
         """A baseline power-aware DP with a fixed library."""
-        return MethodSpec(
-            name=name, kind="dp", library=library, traversal=traversal, core=core
-        )
+        return MethodSpec(name=name, kind="dp", library=library, core=core)
 
     @staticmethod
     def tree_method(
@@ -559,12 +547,7 @@ def _design_case(
                 # process singleton (``kernels.shared_scratch``): within one
                 # worker every dp method, net task and RIP pass reuses the
                 # same buffers; worker processes each grow their own.
-                dp = PowerAwareDp(
-                    technology,
-                    pruning=pruning,
-                    traversal=spec.traversal,
-                    core=spec.core,
-                )
+                dp = PowerAwareDp(technology, pruning=pruning, core=spec.core)
                 run_started = time.perf_counter()
                 result = dp.run(case.net, spec.library, compiled=compiled)
                 # Each method is charged the (shared) compilation, mirroring the
@@ -998,7 +981,6 @@ def _sweep_components(
                     list(spec.library.widths) if spec.library is not None else None
                 ),
                 "rip": asdict(spec.rip) if spec.rip is not None else None,
-                "traversal": spec.traversal,
                 "core": spec.core,
             }
             for spec in methods

@@ -293,35 +293,23 @@ def _traverse_in_place(
     interval,
     caps: np.ndarray,
     delays: np.ndarray,
-    exact: bool,
 ) -> None:
     """Cross one compiled wire interval, mutating ``caps``/``delays``.
 
-    ``exact`` replays :meth:`CompiledNet.traverse`'s per-piece arithmetic
-    (bit-for-bit); otherwise the affine single-expression form of
-    :meth:`CompiledNet.traverse_affine` is applied.  Both keep the original
-    expression grouping, so in-place evaluation changes no bits.
+    Replays :meth:`CompiledNet.traverse`'s per-piece arithmetic with the
+    original expression grouping, so in-place evaluation changes no bits.
     """
     count = len(caps)
     tmp = scratch.f_a[:count]
-    if exact:
-        piece_resistance = interval.piece_resistance
-        piece_capacitance = interval.piece_capacitance
-        piece_half = interval.piece_half_capacitance
-        for piece in range(len(piece_resistance)):
-            # delays += r * (half + caps); caps += c  (same grouping).
-            np.add(caps, piece_half[piece], out=tmp)
-            np.multiply(tmp, piece_resistance[piece], out=tmp)
-            np.add(delays, tmp, out=delays)
-            np.add(caps, piece_capacitance[piece], out=caps)
-        return
-    if interval.capacitance == 0.0 and interval.resistance == 0.0:
-        return
-    # delays = (delays + R * caps) + K; caps += C  (same grouping).
-    np.multiply(caps, interval.resistance, out=tmp)
-    np.add(delays, tmp, out=delays)
-    np.add(delays, interval.delay_constant, out=delays)
-    np.add(caps, interval.capacitance, out=caps)
+    piece_resistance = interval.piece_resistance
+    piece_capacitance = interval.piece_capacitance
+    piece_half = interval.piece_half_capacitance
+    for piece in range(len(piece_resistance)):
+        # delays += r * (half + caps); caps += c  (same grouping).
+        np.add(caps, piece_half[piece], out=tmp)
+        np.multiply(tmp, piece_resistance[piece], out=tmp)
+        np.add(delays, tmp, out=delays)
+        np.add(caps, piece_capacitance[piece], out=caps)
 
 
 # hot
@@ -682,7 +670,6 @@ def fused_level(
     delay_tolerance: float,
     width_tolerance: float,
     full_strategy: bool,
-    exact_traversal: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """One fused power-aware DP level: traverse, expand, dominance-prune.
 
@@ -705,7 +692,7 @@ def fused_level(
     # two-pin DP method crosses (a no-op dict probe when REPRO_FAULTS is
     # unset; allocates nothing, so the hot-alloc discipline holds).
     faults.maybe_inject("kernels.fused-level")
-    _traverse_in_place(scratch, interval, caps, delays, exact_traversal)
+    _traverse_in_place(scratch, interval, caps, delays)
     count = len(caps)
     branches = len(cap_lut) + 1
     m = count * branches
@@ -761,7 +748,6 @@ def _batched_traverse(
     caps: np.ndarray,
     delays: np.ndarray,
     counts: np.ndarray,
-    exact: bool,
 ) -> None:
     """Cross every problem's wire interval on the concatenated front.
 
@@ -775,51 +761,40 @@ def _batched_traverse(
     if n == 0:
         return
     tmp = scratch.f_a[:n]
-    if exact:
-        max_pieces = max(len(interval.piece_resistance) for interval in intervals)
-        for piece in range(max_pieces):
-            resistance = np.repeat(
-                [
-                    interval.piece_resistance[piece]
-                    if piece < len(interval.piece_resistance)
-                    else 0.0
-                    for interval in intervals
-                ],
-                counts,
-            )
-            half = np.repeat(
-                [
-                    interval.piece_half_capacitance[piece]
-                    if piece < len(interval.piece_half_capacitance)
-                    else 0.0
-                    for interval in intervals
-                ],
-                counts,
-            )
-            capacitance = np.repeat(
-                [
-                    interval.piece_capacitance[piece]
-                    if piece < len(interval.piece_capacitance)
-                    else 0.0
-                    for interval in intervals
-                ],
-                counts,
-            )
-            # delays += r * (half + caps); caps += c  (same grouping).
-            np.add(caps, half, out=tmp)
-            np.multiply(tmp, resistance, out=tmp)
-            np.add(delays, tmp, out=delays)
-            np.add(caps, capacitance, out=caps)
-        return
-    # Affine form; empty intervals have R = C = K = 0 by construction, so
-    # applying them unconditionally is the same bitwise no-op as skipping.
-    resistance = np.repeat([interval.resistance for interval in intervals], counts)
-    constant = np.repeat([interval.delay_constant for interval in intervals], counts)
-    capacitance = np.repeat([interval.capacitance for interval in intervals], counts)
-    np.multiply(caps, resistance, out=tmp)
-    np.add(delays, tmp, out=delays)
-    np.add(delays, constant, out=delays)
-    np.add(caps, capacitance, out=caps)
+    max_pieces = max(len(interval.piece_resistance) for interval in intervals)
+    for piece in range(max_pieces):
+        resistance = np.repeat(
+            [
+                interval.piece_resistance[piece]
+                if piece < len(interval.piece_resistance)
+                else 0.0
+                for interval in intervals
+            ],
+            counts,
+        )
+        half = np.repeat(
+            [
+                interval.piece_half_capacitance[piece]
+                if piece < len(interval.piece_half_capacitance)
+                else 0.0
+                for interval in intervals
+            ],
+            counts,
+        )
+        capacitance = np.repeat(
+            [
+                interval.piece_capacitance[piece]
+                if piece < len(interval.piece_capacitance)
+                else 0.0
+                for interval in intervals
+            ],
+            counts,
+        )
+        # delays += r * (half + caps); caps += c  (same grouping).
+        np.add(caps, half, out=tmp)
+        np.multiply(tmp, resistance, out=tmp)
+        np.add(delays, tmp, out=delays)
+        np.add(caps, capacitance, out=caps)
 
 
 # hot
@@ -1085,7 +1060,6 @@ def fused_level_batched(
     delay_tolerance: float,
     width_tolerance: float,
     full_strategy: bool,
-    exact_traversal: bool = True,
 ):
     """One fused power-aware DP level for a whole *batch* of problems.
 
@@ -1112,7 +1086,7 @@ def fused_level_batched(
     property-tests the equality.
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    _batched_traverse(scratch, intervals, caps, delays, counts, exact_traversal)
+    _batched_traverse(scratch, intervals, caps, delays, counts)
     total, m_per, exp_start, seg = _batched_expand(
         scratch,
         caps,
@@ -1170,7 +1144,7 @@ def fused_level_2d_batched(
     expansion here yields bit-identical survivors in identical order).
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    _batched_traverse(scratch, intervals, caps, delays, counts, True)
+    _batched_traverse(scratch, intervals, caps, delays, counts)
     total, m_per, exp_start, seg = _batched_expand(
         scratch,
         caps,
@@ -1235,7 +1209,7 @@ def fused_level_2d(
     replaces — ``np.argmin`` per branch row, first occurrence on ties,
     is exactly that state.
     """
-    _traverse_in_place(scratch, interval, caps, delays, True)
+    _traverse_in_place(scratch, interval, caps, delays)
     count = len(caps)
     branches = len(cap_lut) + 1
     m = count * branches
@@ -1401,7 +1375,7 @@ def tree_site_level(
     count = len(caps)
     branches = len(cap_lut) + 1
     scratch.ensure(count * branches)
-    _traverse_in_place(scratch, interval, caps, delays, True)
+    _traverse_in_place(scratch, interval, caps, delays)
     m = _expand_level(
         scratch, caps, delays, widths, cap_lut, ratio_lut, width_lut, intrinsic
     )
@@ -1581,7 +1555,7 @@ def tree_site_level_batched(
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     scratch.ensure(int(counts.sum()))
-    _batched_traverse(scratch, intervals, caps, delays, counts, True)
+    _batched_traverse(scratch, intervals, caps, delays, counts)
     total, m_per, exp_start, seg = _batched_expand(
         scratch,
         caps,

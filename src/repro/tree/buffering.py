@@ -701,7 +701,6 @@ class TreePowerDp:
             compiled_edge.intervals[len(compiled_edge.sites)],
             edge_caps,
             edge_delays,
-            True,
         )
         trace = _TreeEdgeTrace(
             parent=compiled_edge.parent,

@@ -5,9 +5,8 @@ seed population with ``RefineConfig.evaluator`` set to ``"compiled"`` and to
 ``"walked"`` and asserts the outcomes are **identical** — feasibility
 verdicts, refined positions/widths, reported delays and the final discrete
 solutions (same shape as ``test_engine_equivalence.py`` for the DP kernels).
-Unlike the warm-start tests, which allow solver-tolerance drift, the
-compiled evaluator is bit-exact by contract, so everything is compared with
-``==``.
+The compiled evaluator is bit-exact by contract, so everything is compared
+with ``==``.
 """
 
 from __future__ import annotations
@@ -86,20 +85,6 @@ def test_solver_level_solutions_identical(tech):
         assert compiled.total_width == walked.total_width
         assert compiled.feasible == walked.feasible
         assert compiled.iterations == walked.iterations
-
-
-def test_solver_warm_seed_identical_across_evaluators(tech):
-    net = build_uniform_net(tech, length_um=12000.0, segments=6, name="solver-warm-eq")
-    positions = [0.3 * net.total_length, 0.7 * net.total_length]
-    target = 0.85 * unbuffered_net_delay(net, tech)
-    walked_solver = DualBisectionWidthSolver(tech, evaluator="walked")
-    compiled_solver = DualBisectionWidthSolver(tech, evaluator="compiled")
-    seed = walked_solver.solve(net, positions, target).lagrange_multiplier
-    walked = walked_solver.solve(net, positions, target, initial_lambda=seed)
-    compiled = compiled_solver.solve(net, positions, target, initial_lambda=seed)
-    assert compiled.widths == walked.widths
-    assert compiled.delay == walked.delay
-    assert compiled.iterations == walked.iterations
 
 
 def test_evaluator_modes_validated(tech):
